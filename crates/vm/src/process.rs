@@ -68,7 +68,10 @@ pub struct Process {
     pub sigactions: [SigAction; Signal::COUNT],
     /// Signals queued for delivery.
     pub pending_signals: VecDeque<Signal>,
-    /// Scheduler state.
+    /// Scheduler state. Readable by anyone; outside a running slice it
+    /// is written only through `Kernel::set_state`, which also files the
+    /// process with the scheduler (a direct write would leave a
+    /// runnable process that no run queue holds).
     pub state: ProcState,
     /// Exit code (valid once `state == Exited`).
     pub exit_code: Option<u64>,

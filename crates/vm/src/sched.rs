@@ -2,9 +2,9 @@
 //!
 //! [`Kernel::run_for`](crate::Kernel::run_for) historically was a
 //! cooperative round-robin pump: every loop pass rebuilt a `Vec<Pid>` of
-//! runnables and linearly re-checked **every** blocked process
-//! (`wake_blocked`) — O(N) bookkeeping per quantum, no priorities. This
-//! module replaces that with:
+//! runnables and linearly re-checked **every** blocked process against
+//! the readiness predicate — O(N) bookkeeping per quantum, no
+//! priorities. This module replaces that with:
 //!
 //! * a **multi-level feedback queue** ([`SCHED_LEVELS`] levels, FIFO per
 //!   level). A process that burns its full per-level quantum is demoted
@@ -18,6 +18,13 @@
 //!   live in a `BinaryHeap` min-heap keyed by wake time, and
 //!   `ReadFd`/`Accept` waiters are indexed by connection id / listener
 //!   port, so delivery and block sites wake exactly the affected pids.
+//!
+//! State changes reach these structures at two filing points:
+//! `Kernel::set_state` (every host-side change) and the re-file after
+//! each dispatched slice (every in-slice change). New processes are
+//! filed on arrival (spawn, restore insert, a fork's wake hint). So no
+//! pass ever scans the process table for runnables the scheduler lost
+//! track of.
 //!
 //! The registry is deliberately **lazy**: entries are never cancelled
 //! in place (a freeze, exit, or signal wake may strand one), they are
@@ -49,9 +56,9 @@ pub const BOOST_INTERVAL_NS: u64 = 100_000;
 /// Which run loop [`Kernel::run_for`](crate::Kernel::run_for) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
-    /// The historical cooperative pump: round-robin over every runnable
-    /// process, full `wake_blocked` scan per pass. Kept as a toggleable
-    /// oracle (mirroring `set_block_cache_enabled`) — single-process
+    /// The historical cooperative pump: every pass asks the readiness
+    /// predicate of every process and round-robins the ready ones. Kept
+    /// as a toggleable oracle (mirroring `set_block_cache_enabled`) — single-process
     /// workloads are bit-identical under `state_fingerprint` between
     /// the two policies.
     RoundRobin,

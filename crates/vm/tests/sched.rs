@@ -13,13 +13,15 @@
 //!   connection leaves a reader blocked on another untouched,
 //! * a single-process workload is bit-identical under MLFQ and the
 //!   round-robin oracle (`state_fingerprint` parity),
+//! * a host `set_state(pid, Runnable)` is dispatched by the next
+//!   `run_for` under both policies,
 //! * `run_until_event` survives event-ring wrap (the raw-index scan
 //!   regression), and the pump chunk is one named tunable.
 
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind};
 use dynacut_vm::{
-    Kernel, LoadSpec, Pid, RunOutcome, SchedPolicy, Sysno, BOOST_INTERVAL_NS,
+    Kernel, LoadSpec, Pid, ProcState, RunOutcome, SchedPolicy, Sysno, VmError, BOOST_INTERVAL_NS,
     DEFAULT_PUMP_CHUNK_NS,
 };
 use proptest::prelude::*;
@@ -85,6 +87,10 @@ fn emitter(code: u64) -> Image {
     build_exe(&mut asm, |_| {})
 }
 
+/// Exit code of the echo server's `hijack_landing` function, which no
+/// guest path reaches: only a host that moves the pc there runs it.
+const HIJACK_EXIT: u64 = 42;
+
 /// Echo server on `port`, emitting `ready_code` once listening.
 fn echo_server(port: u16, ready_code: u64) -> Image {
     let mut asm = Assembler::new();
@@ -122,6 +128,10 @@ fn echo_server(port: u16, ready_code: u64) -> Image {
     asm.push(Insn::Mov(Reg::R3, Reg::R12));
     asm.push(Insn::Syscall);
     asm.jmp("serve_loop");
+    asm.func("hijack_landing");
+    asm.push(Insn::Movi(Reg::R0, Sysno::Exit as u64));
+    asm.push(Insn::Movi(Reg::R1, HIJACK_EXIT));
+    asm.push(Insn::Syscall);
     build_exe(&mut asm, |b| {
         b.bss("buf", 64);
     })
@@ -247,6 +257,52 @@ fn idle_fast_forward_accounts_idle_time() {
     // The sleeper kept waking: ~20 sleep cycles of a few insns each.
     assert!(retired(&kernel, pid) > 20);
     assert!(kernel.flight().metrics().counter("sched.wakeups") >= 10);
+}
+
+// ----- set_state: the host's one filing point ----------------------------
+
+/// A host hijack moves an accept-blocked server's pc and flips it
+/// runnable through `set_state`. The flip files the pid with the
+/// scheduler, so the next `run_for` dispatches it under both policies
+/// (no scan has to discover it) and the two kernels stay
+/// fingerprint-identical.
+#[test]
+fn set_state_runnable_is_dispatched_under_both_policies() {
+    let image = echo_server(8090, 1);
+    let landing = image.symbols["hijack_landing"].offset;
+    let mut kernels = [Kernel::new(), Kernel::new()];
+    kernels[1].set_scheduler(SchedPolicy::RoundRobin);
+    for kernel in &mut kernels {
+        let pid = kernel.spawn(&LoadSpec::exe_only(image.clone())).unwrap();
+        kernel.run_until_event(1, 10_000_000).expect("ready");
+        kernel.run_for(10_000);
+        // No client ever connects: the server is parked in `accept`.
+        assert!(matches!(
+            kernel.process(pid).unwrap().state,
+            ProcState::Blocked(_)
+        ));
+        let proc = kernel.process_mut(pid).unwrap();
+        proc.cpu.pc = proc.modules[0].base + landing;
+        kernel.set_state(pid, ProcState::Runnable).unwrap();
+        kernel.run_for(10_000);
+        assert_eq!(
+            kernel.exit_status(pid).map(|status| status.code),
+            Some(HIJACK_EXIT)
+        );
+    }
+    assert_eq!(
+        kernels[0].state_fingerprint(),
+        kernels[1].state_fingerprint()
+    );
+}
+
+#[test]
+fn set_state_on_an_unknown_pid_is_no_such_process() {
+    let mut kernel = Kernel::new();
+    assert!(matches!(
+        kernel.set_state(Pid(99), ProcState::Runnable),
+        Err(VmError::NoSuchProcess(Pid(99)))
+    ));
 }
 
 // ----- proptest battery -------------------------------------------------

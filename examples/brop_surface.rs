@@ -93,11 +93,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .unwrap();
         module.base + exe.plt_entry("libc_fork").unwrap().stub_offset
     };
-    {
-        let proc = kernel.process_mut(worker)?;
-        proc.cpu.pc = fork_stub; // simulated hijack
-        proc.state = dynacut_vm::ProcState::Runnable;
-    }
+    kernel.process_mut(worker)?.cpu.pc = fork_stub; // simulated hijack
+    kernel.set_state(worker, dynacut_vm::ProcState::Runnable)?;
     kernel.run_for(1_000_000);
     match kernel.exit_status(worker) {
         Some(status) if status.fatal_signal == Some(Signal::Sigtrap) => {

@@ -67,21 +67,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .base;
         base + libc_image.symbols["libc_open"].offset
     };
-    {
-        let proc = kernel.process_mut(pid)?;
-        proc.cpu.pc = open_addr; // simulated hijack
-        proc.state = ProcState::Runnable;
-    }
+    kernel.process_mut(pid)?.cpu.pc = open_addr; // simulated hijack
+    kernel.set_state(pid, ProcState::Runnable)?;
     kernel.run_for(1_000_000);
-    match kernel.exit_status(pid) {
-        Some(status) => println!(
-            "hijacked jump into libc_open -> {}: filter enforced",
-            status
-                .fatal_signal
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "exit".into())
-        ),
-        None => println!("unexpected: server survived the hijack"),
-    }
+    let Some(status) = kernel.exit_status(pid) else {
+        return Err("the server survived the hijack: filter not enforced".into());
+    };
+    println!(
+        "hijacked jump into libc_open -> {}: filter enforced",
+        status
+            .fatal_signal
+            .map(|s| s.to_string())
+            .unwrap_or_else(|| "exit".into())
+    );
     Ok(())
 }

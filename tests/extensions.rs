@@ -63,11 +63,8 @@ fn library_code_can_be_customized_too() {
     assert_eq!(byte[0], TRAP_OPCODE);
 
     // A hijack into the wiped libc code dies.
-    {
-        let proc = kernel.process_mut(pid).unwrap();
-        proc.cpu.pc = libc_base + entry.addr;
-        proc.state = ProcState::Runnable;
-    }
+    kernel.process_mut(pid).unwrap().cpu.pc = libc_base + entry.addr;
+    kernel.set_state(pid, ProcState::Runnable).unwrap();
     kernel.run_for(1_000_000);
     assert_eq!(
         kernel.exit_status(pid).unwrap().fatal_signal,
@@ -278,11 +275,8 @@ fn dynamic_seccomp_filter_via_process_rewriting() {
             .base;
         libc_base + libc_image.symbols["libc_open"].offset
     };
-    {
-        let proc = kernel.process_mut(pid).unwrap();
-        proc.cpu.pc = open_addr;
-        proc.state = ProcState::Runnable;
-    }
+    kernel.process_mut(pid).unwrap().cpu.pc = open_addr;
+    kernel.set_state(pid, ProcState::Runnable).unwrap();
     kernel.run_for(1_000_000);
     let status = kernel.exit_status(pid).expect("filter killed the hijack");
     assert_eq!(status.fatal_signal, Some(Signal::Sigsys));

@@ -41,9 +41,8 @@ fn boot() -> World {
 
 fn hijack_worker_to(world: &mut World, addr: u64) {
     let worker = *world.pids.last().unwrap();
-    let proc = world.kernel.process_mut(worker).unwrap();
-    proc.cpu.pc = addr;
-    proc.state = ProcState::Runnable;
+    world.kernel.process_mut(worker).unwrap().cpu.pc = addr;
+    world.kernel.set_state(worker, ProcState::Runnable).unwrap();
     world.kernel.run_for(1_000_000);
 }
 
