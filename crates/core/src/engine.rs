@@ -155,7 +155,10 @@ impl CycleState {
             .collect()
     }
 
-    /// Journals the cycle's `CustomizeBegin` (once).
+    /// Journals the cycle's `CustomizeBegin` and tags the group
+    /// [`SchedClass::Background`] (once). The tag lasts until the cycle
+    /// commits ([`DynaCut::commit_cycle`]) or rolls back
+    /// ([`DynaCut::rollback`]).
     fn begin(&mut self, kernel: &mut Kernel) {
         if !self.begun {
             self.begun = true;
@@ -165,6 +168,7 @@ impl CycleState {
                     pids: self.pids.len(),
                 },
             );
+            DynaCut::set_group_class(kernel, &self.pids, SchedClass::Background);
         }
     }
 }
@@ -278,7 +282,7 @@ impl DynaCut {
     /// survives the remove/insert swap of a restore and never reaches a
     /// fingerprint or checkpoint, so tagging cannot perturb the
     /// transactional parity guarantees.
-    fn set_group_class(kernel: &mut Kernel, pids: &[Pid], class: SchedClass) {
+    pub(crate) fn set_group_class(kernel: &mut Kernel, pids: &[Pid], class: SchedClass) {
         for &pid in pids {
             kernel.set_sched_class(pid, class);
         }
@@ -292,19 +296,32 @@ impl DynaCut {
         pids: &[Pid],
         plan: &RewritePlan,
     ) -> Result<CustomizeReport, DynacutError> {
-        let mut cycle = self.begin_cycle(pids);
+        let cycle = self.begin_cycle(pids);
+        let stages = cycle.stage_sequence();
+        let cycle = self.run_stages(kernel, cycle, plan, &stages)?;
+        Ok(self.commit_cycle(kernel, cycle, plan))
+    }
+
+    /// Begins the cycle (if it has not begun yet) and runs `stages` in
+    /// order. On the first failing stage the cycle is rolled back and
+    /// the error returned; otherwise the cycle is handed back for the
+    /// caller to commit or hold open.
+    fn run_stages(
+        &mut self,
+        kernel: &mut Kernel,
+        mut cycle: CycleState,
+        plan: &RewritePlan,
+        stages: &[Stage],
+    ) -> Result<CycleState, DynacutError> {
         cycle.begin(kernel);
-        Self::set_group_class(kernel, pids, SchedClass::Background);
-        for stage in cycle.stage_sequence() {
+        for &stage in stages {
             if let Err(err) = self.run_stage(kernel, &mut cycle, plan, stage) {
                 let CycleState { pids, journal, .. } = cycle;
                 self.rollback(kernel, &pids, journal);
-                Self::set_group_class(kernel, &pids, SchedClass::Normal);
                 return Err(err);
             }
         }
-        Self::set_group_class(kernel, pids, SchedClass::Normal);
-        Ok(self.commit_cycle(kernel, cycle, plan))
+        Ok(cycle)
     }
 
     /// Customizes a fleet of independent process groups with one plan.
@@ -349,7 +366,6 @@ impl DynaCut {
             let mut failed = None;
             for cycle in &mut cycles {
                 cycle.begin(kernel);
-                Self::set_group_class(kernel, &cycle.pids, SchedClass::Background);
                 if let Err(err) = self.run_stage(kernel, cycle, plan, Stage::PreDump) {
                     failed = Some(err);
                     break;
@@ -366,26 +382,18 @@ impl DynaCut {
         // the kernel is pumped between groups so the rest of the fleet
         // serves during every other group's window.
         let mut report = FleetReport::default();
-        while let Some(mut cycle) = cycles.pop_front() {
-            cycle.begin(kernel);
-            Self::set_group_class(kernel, &cycle.pids, SchedClass::Background);
+        while let Some(cycle) = cycles.pop_front() {
             let window: Vec<Stage> = cycle
                 .stage_sequence()
                 .into_iter()
                 .filter(|stage| *stage != Stage::PreDump)
                 .collect();
-            for stage in window {
-                if let Err(err) = self.run_stage(kernel, &mut cycle, plan, stage) {
-                    let CycleState { pids, journal, .. } = cycle;
-                    self.rollback(kernel, &pids, journal);
-                    Self::set_group_class(kernel, &pids, SchedClass::Normal);
-                    return Err(self.abort_fleet(kernel, cycles, err));
-                }
-            }
+            let cycle = match self.run_stages(kernel, cycle, plan, &window) {
+                Ok(cycle) => cycle,
+                Err(err) => return Err(self.abort_fleet(kernel, cycles, err)),
+            };
             let pids = cycle.pids.clone();
             let group_report = self.commit_cycle(kernel, cycle, plan);
-            // Committed: the group is a plain serving replica again.
-            Self::set_group_class(kernel, &pids, SchedClass::Normal);
             report.totals.groups += 1;
             report.totals.processes += pids.len();
             report.totals.frozen_page_bytes += group_report.frozen_page_bytes;
@@ -422,12 +430,10 @@ impl DynaCut {
         for cycle in cycles {
             let begun = cycle.begun;
             let CycleState { pids, journal, .. } = cycle;
+            // A never-begun group holds no journal state and no tag.
             if begun {
                 self.rollback(kernel, &pids, journal);
             }
-            // Untag unconditionally: a never-begun group was still
-            // tagged if wave 1 reached it before the failure.
-            Self::set_group_class(kernel, &pids, SchedClass::Normal);
         }
         err
     }
@@ -832,10 +838,10 @@ impl DynaCut {
         }
     }
 
-    /// Every stage succeeded: fold the staged session state in and
-    /// charge the guest-visible downtime. The cycle's journal is
-    /// dropped — the originals it would have resurrected no longer
-    /// exist.
+    /// Every stage succeeded: fold the staged session state in, untag
+    /// the group (it is a plain serving replica again) and charge the
+    /// guest-visible downtime. The cycle's journal is dropped — the
+    /// originals it would have resurrected no longer exist.
     fn commit_cycle(
         &mut self,
         kernel: &mut Kernel,
@@ -869,6 +875,7 @@ impl DynaCut {
             FaultPolicy::Verify => "verify",
             FaultPolicy::Terminate => "terminate",
         };
+        Self::set_group_class(kernel, &pids, SchedClass::Normal);
         for &pid in &pids {
             kernel.flight_mut().set_trap_policy(pid, policy_label);
         }
@@ -1030,17 +1037,9 @@ impl DynaCut {
         // live and serving the rewritten image after RestoreCommit, but
         // the journal and the committed-restore receipt stay in hand so
         // a dirty soak can still demote it.
-        let mut cycle = self.begin_cycle(&groups[0]);
-        cycle.begin(kernel);
-        Self::set_group_class(kernel, &cycle.pids, SchedClass::Background);
-        for stage in cycle.stage_sequence() {
-            if let Err(err) = self.run_stage(kernel, &mut cycle, plan, stage) {
-                let CycleState { pids, journal, .. } = cycle;
-                self.rollback(kernel, &pids, journal);
-                Self::set_group_class(kernel, &pids, SchedClass::Normal);
-                return Err(err);
-            }
-        }
+        let cycle = self.begin_cycle(&groups[0]);
+        let stages = cycle.stage_sequence();
+        let cycle = self.run_stages(kernel, cycle, plan, &stages)?;
         // The soak is the canary's *validation* serving: it must compete
         // for quanta exactly like the replicas it will be promoted onto,
         // so the background tag comes off before the soak pumps.
@@ -1289,6 +1288,5 @@ impl DynaCut {
         kernel.flight_mut().metrics_mut().incr("rollout.demotions", 1);
         let CycleState { pids, journal, .. } = cycle;
         self.rollback(kernel, &pids, journal);
-        Self::set_group_class(kernel, &pids, SchedClass::Normal);
     }
 }

@@ -8,7 +8,7 @@ use crate::DynacutError;
 use dynacut_criu::{
     CheckpointImage, CheckpointStore, CkptId, DumpOptions, ModuleRegistry,
 };
-use dynacut_vm::{EventKind, Kernel, Phase, Pid, RollbackStep};
+use dynacut_vm::{EventKind, Kernel, Phase, Pid, RollbackStep, SchedClass};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -285,7 +285,8 @@ impl DynaCut {
     /// thaws every process this attempt froze (back to its pre-freeze
     /// scheduler state), takes every connection of the target pids out
     /// of TCP repair mode, re-marks the dirty pages the pre-dump swept,
-    /// and restores the incremental baseline the attempt displaced.
+    /// restores the incremental baseline the attempt displaced, and
+    /// drops the cycle's background scheduling tag.
     pub(crate) fn rollback(&mut self, kernel: &mut Kernel, pids: &[Pid], journal: TxnJournal) {
         for &pid in &journal.frozen {
             let _ = kernel.thaw(pid);
@@ -330,6 +331,7 @@ impl DynaCut {
                 },
             );
         }
+        Self::set_group_class(kernel, pids, SchedClass::Normal);
         kernel.flight_mut().metrics_mut().incr("customize.rollbacks", 1);
         kernel.record_flight(None, EventKind::CustomizeRollback);
     }
