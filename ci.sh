@@ -125,5 +125,10 @@ test -s results/sched.json
 grep -q '"schema": "dynacut-sched-v1"' results/sched.json
 grep -q '"fleet_size": 1000' results/sched.json
 
+# Temporal seccomp (paper §5): the example hijacks the live server into
+# a filtered syscall through `Kernel::set_state` and exits non-zero if
+# the hijack survives the rewritten filter.
+cargo run --release -q --example temporal_seccomp > /dev/null
+
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
