@@ -32,13 +32,18 @@ grep -q '"schema": "dynacut-flight-v1"' results/flight.json
 # flat per-process freeze windows, serialized stage journals, and
 # serving-during-cycle; `figures fleet` regenerates results/fleet.json
 # and panics unless dedup_ratio >= 1.0 and every process's phase
-# durations sum to its cycle total (the dynacut-fleet-v1 schema gate).
+# durations sum to its cycle total and the checkpoint store holds one
+# entry per group (the dynacut-fleet-v1 schema gate). The store
+# lifecycle suite runs 20 incremental fleet cycles and pins one store
+# entry per group, released displaced baselines and zero leaked refs.
 cargo test -q -p dynacut-bench fleet
 cargo test -q -p dynacut-criu --test page_store
+cargo test -q -p dynacut --test store_lifecycle
 cargo clippy -p dynacut -p dynacut-criu --all-targets -- -D warnings
 cargo run --release -q -p dynacut-bench --bin figures -- fleet > /dev/null
 test -s results/fleet.json
 grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
+grep -q '"store_entries": ' results/fleet.json
 
 # Superblock-chaining multi-version block cache (DESIGN §11): the vm
 # suite pins rewrite-precise invalidation (self-modifying code,

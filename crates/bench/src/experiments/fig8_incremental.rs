@@ -37,8 +37,9 @@ pub struct CycleStats {
     pub frozen_page_bytes: usize,
     /// Page bytes the pre-dump moved while the guest still ran.
     pub prewritten_page_bytes: usize,
-    /// Page bytes this checkpoint occupies in the store (full image for
-    /// the full series and the chain root, dirty delta afterwards).
+    /// Page bytes this cycle interned into the store: the full image for
+    /// the full series and the first incremental cycle, only the pages
+    /// that differ from the previous baseline afterwards.
     pub stored_page_bytes: usize,
 }
 
@@ -47,12 +48,13 @@ pub struct CycleStats {
 pub struct Fig8IncrementalSeries {
     /// Full dump every cycle (the default pipeline).
     pub full: Vec<CycleStats>,
-    /// Pre-dump + delta store ([`DynaCut::with_incremental`]).
+    /// Pre-dump + store diffed against the previous baseline
+    /// ([`DynaCut::with_incremental`]).
     pub incremental: Vec<CycleStats>,
 }
 
 impl Fig8IncrementalSeries {
-    /// Total store footprint of a series in page bytes.
+    /// Page bytes a series interned over all its cycles.
     pub fn total_stored(series: &[CycleStats]) -> usize {
         series.iter().map(|s| s.stored_page_bytes).sum()
     }
@@ -157,9 +159,8 @@ pub fn print() {
     let full_stored = Fig8IncrementalSeries::total_stored(&series.full);
     let incr_stored = Fig8IncrementalSeries::total_stored(&series.incremental);
     println!(
-        "\nstore footprint over {CYCLES} cycles: full images {} vs chain (1 full + {} deltas) {} ({:.1}x smaller)",
+        "\nbytes interned over {CYCLES} cycles: full images {} vs incremental {} ({:.1}x smaller)",
         fmt_bytes(full_stored as u64),
-        CYCLES - 1,
         fmt_bytes(incr_stored as u64),
         full_stored as f64 / incr_stored.max(1) as f64,
     );
@@ -201,8 +202,8 @@ mod tests {
             );
             assert!(incr.prewritten_page_bytes > 0, "cycle {}", full.cycle);
         }
-        // Every cycle after the chain root stores a dirty delta, strictly
-        // smaller than the full image stored by the default pipeline.
+        // Every incremental cycle after the first interns only the pages
+        // that changed, strictly fewer than the full image.
         for (full, incr) in series.full.iter().zip(&series.incremental).skip(1) {
             assert!(
                 incr.stored_page_bytes < full.stored_page_bytes,

@@ -10,8 +10,9 @@
 //!   physical copy per distinct page and the dedup ratio approaches N.
 //!
 //! Emits `results/fleet.json` (`dynacut-fleet-v1`), schema-gated by CI:
-//! the dedup ratio must be ≥ 1.0 and every process's phase durations
-//! must sum to its reported total.
+//! the dedup ratio must be ≥ 1.0, the checkpoint store must hold one
+//! entry per group, and every process's phase durations must sum to its
+//! reported total.
 
 use crate::experiments::fig8_incremental::freeze_window_ns;
 use crate::report::{fmt_bytes, Table};
@@ -34,6 +35,7 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "groups",
     "processes",
     "dedup_ratio",
+    "store_entries",
     "unique_page_bytes",
     "shared_page_bytes",
     "stored_page_bytes",
@@ -202,6 +204,7 @@ pub fn to_json(figure: &FleetFigure) -> String {
             "  \"groups\": {groups},\n",
             "  \"processes\": {processes},\n",
             "  \"dedup_ratio\": {dedup:.4},\n",
+            "  \"store_entries\": {store_entries},\n",
             "  \"unique_page_bytes\": {unique},\n",
             "  \"shared_page_bytes\": {shared},\n",
             "  \"stored_page_bytes\": {stored},\n",
@@ -218,6 +221,7 @@ pub fn to_json(figure: &FleetFigure) -> String {
         groups = totals.groups,
         processes = totals.processes,
         dedup = totals.dedup_ratio,
+        store_entries = totals.store_entries,
         unique = totals.unique_page_bytes,
         shared = totals.shared_page_bytes,
         stored = totals.stored_page_bytes,
@@ -232,8 +236,10 @@ pub fn to_json(figure: &FleetFigure) -> String {
 
 /// Checks the schema invariants CI relies on: every required key appears
 /// in the document, one row per customized process, the store dedup
-/// ratio is sane (≥ 1.0 — content addressing can only shrink), and every
-/// process's phase durations sum to its reported cycle total.
+/// ratio is sane (≥ 1.0 — content addressing can only shrink), the
+/// checkpoint store holds exactly one entry per group (a displaced
+/// baseline is released), and every process's phase durations sum to
+/// its reported cycle total.
 ///
 /// # Errors
 ///
@@ -258,6 +264,12 @@ pub fn validate(json: &str, figure: &FleetFigure) -> Result<(), String> {
         return Err(format!(
             "dedup ratio {:.4} < 1.0 — the store grew the data",
             figure.totals.dedup_ratio
+        ));
+    }
+    if figure.totals.store_entries != figure.totals.groups {
+        return Err(format!(
+            "{} checkpoint-store entries for {} groups",
+            figure.totals.store_entries, figure.totals.groups
         ));
     }
     for row in &figure.procs {
@@ -481,5 +493,12 @@ mod tests {
         figure.procs[0].total_ns += 1;
         let json = to_json(&figure);
         assert!(validate(&json, &figure).is_err());
+        figure.procs[0].total_ns -= 1;
+        figure.totals.store_entries += 1;
+        let json = to_json(&figure);
+        assert!(
+            validate(&json, &figure).is_err(),
+            "a leaked store entry is caught"
+        );
     }
 }

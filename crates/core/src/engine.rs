@@ -35,8 +35,8 @@ use crate::rewrite::{disable_in_image, enable_in_image, remove_blocks_in_image};
 use crate::session::{end_phase, start_phase, CustomizeReport, TxnJournal};
 use crate::{DynaCut, DynacutError};
 use dynacut_criu::{
-    dump_many, mark_clean_after_dump, pre_dump, CheckpointImage, CommittedRestore, DeltaImage,
-    DumpOptions, ModuleRegistry, PreDump, RestoreTransaction,
+    dump_many, mark_clean_after_dump, pre_dump, CheckpointImage, CommittedRestore, DumpOptions,
+    ModuleRegistry, PreDump, RestoreTransaction,
 };
 use dynacut_vm::fault::{self, FaultPhase};
 use dynacut_vm::{EventKind, Kernel, Phase, Pid, RollbackStep, SchedClass, SigAction, Signal};
@@ -232,6 +232,9 @@ pub struct FleetTotals {
     /// The store's dedup win, `logical / unique` (1.0 when nothing was
     /// stored). With N near-identical replicas this approaches N.
     pub dedup_ratio: f64,
+    /// Live checkpoint-store entries after the run: one per group the
+    /// session has customized incrementally.
+    pub store_entries: usize,
     /// Longest per-group freeze window — the worst per-process downtime
     /// in the fleet. Because freeze windows are serialized, this is what
     /// any one process experiences; a monolithic whole-fleet freeze
@@ -414,6 +417,7 @@ impl DynaCut {
         report.totals.unique_page_bytes = pages.unique_bytes();
         report.totals.shared_page_bytes = pages.shared_bytes();
         report.totals.dedup_ratio = pages.dedup_ratio();
+        report.totals.store_entries = self.store.len();
         report.totals.wall = started.elapsed();
         Ok(report)
     }
@@ -784,9 +788,9 @@ impl DynaCut {
 
     /// The restored memory now equals the edited checkpoint on every
     /// clean page, so sweep the bitmap and make that image the new
-    /// baseline — stored as a dirty-page delta when the chain has a
-    /// parent, writing the payload through the session's
-    /// content-addressed store either way. A failure here still rolls
+    /// baseline — diffed against the group's previous baseline when it
+    /// has one, so only changed pages are interned into the session's
+    /// content-addressed store. A failure here still rolls
     /// the whole cycle back: the committed restore is undone first,
     /// putting the original (frozen) processes back for the journal
     /// rollback to thaw.
@@ -801,24 +805,20 @@ impl DynaCut {
             if fault::hit(FaultPhase::BaselineStore) {
                 return Err(DynacutError::FaultInjected(FaultPhase::BaselineStore));
             }
-            match &cycle.journal.last_baseline {
-                Some((parent_id, parent)) => {
-                    let delta = DeltaImage::diff(*parent_id, parent, &checkpoint);
-                    let bytes = delta.pages_bytes();
-                    Ok((self.store.put_delta(delta)?, bytes))
-                }
+            Ok(match cycle.journal.last_baseline {
+                Some(parent) => self.store.put_diff(parent, checkpoint)?,
                 None => {
                     let bytes = checkpoint.pages_bytes();
-                    Ok((self.store.put_full(checkpoint.clone())?, bytes))
+                    (self.store.put_full(checkpoint)?, bytes)
                 }
-            }
+            })
         })();
         match stored {
             Ok((id, bytes)) => {
                 cycle.report.stored_page_bytes = Some(bytes);
                 cycle.report.checkpoint_id = Some(id);
                 self.baselines
-                    .insert(cycle.journal.baseline_key.clone(), (id, checkpoint));
+                    .insert(cycle.journal.baseline_key.clone(), id);
                 Ok(())
             }
             Err(err) => {
@@ -838,10 +838,11 @@ impl DynaCut {
         }
     }
 
-    /// Every stage succeeded: fold the staged session state in, untag
-    /// the group (it is a plain serving replica again) and charge the
-    /// guest-visible downtime. The cycle's journal is dropped — the
-    /// originals it would have resurrected no longer exist.
+    /// Every stage succeeded: fold the staged session state in, release
+    /// the baseline the cycle displaced, untag the group (it is a plain
+    /// serving replica again) and charge the guest-visible downtime. The
+    /// cycle's journal is dropped — the originals it would have
+    /// resurrected no longer exist.
     fn commit_cycle(
         &mut self,
         kernel: &mut Kernel,
@@ -851,6 +852,7 @@ impl DynaCut {
         let CycleState {
             pids,
             report,
+            journal,
             staged_redirect_state,
             staged_verify_state,
             staged_registry,
@@ -867,6 +869,11 @@ impl DynaCut {
             self.registry = registry;
         }
         self.injections = staged_injections;
+        if let Some(displaced) = journal.last_baseline {
+            self.store
+                .release(displaced)
+                .expect("the displaced baseline entry releases cleanly");
+        }
         // Label future SIGTRAP hits on the targets with the policy that
         // planted the trap bytes, and fold this cycle's counts into the
         // metrics registry.

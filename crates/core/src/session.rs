@@ -5,9 +5,7 @@
 use crate::handler::VERIFIER_EVENT_BIT;
 use crate::plan::RewritePlan;
 use crate::DynacutError;
-use dynacut_criu::{
-    CheckpointImage, CheckpointStore, CkptId, DumpOptions, ModuleRegistry,
-};
+use dynacut_criu::{CheckpointStore, CkptId, DumpOptions, ModuleRegistry};
 use dynacut_vm::{EventKind, Kernel, Phase, Pid, RollbackStep, SchedClass};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -61,9 +59,10 @@ pub struct CustomizeReport {
     /// Page bytes the pre-dump copied while the guest was still running
     /// (zero without incremental mode).
     pub prewritten_page_bytes: usize,
-    /// Page bytes the checkpoint occupies in the store: the delta payload
-    /// when a parent baseline existed, the full payload otherwise. `None`
-    /// without incremental mode (nothing is stored).
+    /// Page bytes the baseline store interned: the pages that differ
+    /// from the group's previous baseline when one existed, the full
+    /// payload otherwise. `None` without incremental mode (nothing is
+    /// stored).
     pub stored_page_bytes: Option<usize>,
     /// Page bytes the restore phase **physically copied**. On the
     /// default zero-copy path this counts only first-sight page interns
@@ -151,7 +150,7 @@ pub(crate) struct TxnJournal {
     pub(crate) frozen: Vec<Pid>,
     pub(crate) saved_dirty: Vec<(Pid, Vec<u64>)>,
     pub(crate) baseline_key: Vec<Pid>,
-    pub(crate) last_baseline: Option<(CkptId, CheckpointImage)>,
+    pub(crate) last_baseline: Option<CkptId>,
 }
 
 /// The DynaCut framework handle: a module registry (the "binaries on
@@ -161,23 +160,24 @@ pub struct DynaCut {
     pub(crate) registry: ModuleRegistry,
     pub(crate) dump_options: DumpOptions,
     /// Incremental checkpointing: pre-dump clean pages while the guest
-    /// runs and store dirty-page deltas against the previous baseline.
+    /// runs and store each checkpoint as a diff against the previous
+    /// baseline.
     pub(crate) incremental: bool,
     /// Restore pages as zero-copy shared frames out of the session's
     /// page store (the default). When off, the restore copies every
     /// page byte — kept as the oracle the zero-copy path is checked
     /// against, and as the baseline the restore experiment compares to.
     pub(crate) zero_copy_restore: bool,
-    /// Delta-chain checkpoint store (incremental mode only), backed by a
+    /// Checkpoint store (incremental mode only), backed by a
     /// content-addressed page store shared across every group this
-    /// session customizes.
+    /// session customizes. It holds one entry per customized group.
     pub(crate) store: CheckpointStore,
     /// Per process group, the checkpoint its dirty bitmaps are clean
     /// against: the edited image restored by the group's previous
-    /// customization. A fleet's groups chain independently; an entry is
-    /// removed when a cycle displaces it and re-inserted if that cycle
-    /// fails.
-    pub(crate) baselines: BTreeMap<Vec<Pid>, (CkptId, CheckpointImage)>,
+    /// customization. An entry is removed when a cycle displaces it,
+    /// re-inserted if that cycle fails, and released from the store
+    /// when the cycle commits.
+    pub(crate) baselines: BTreeMap<Vec<Pid>, CkptId>,
     pub(crate) injections: u64,
     /// Per-pid accumulated redirect table (blocked addr → resume addr):
     /// every injected handler carries the union of all still-blocked
@@ -214,8 +214,8 @@ impl DynaCut {
     /// Enables incremental checkpointing for disable/enable cycles: each
     /// customization pre-dumps clean pages while the guest still runs
     /// (shrinking the freeze window to the dirty residue) and stores the
-    /// checkpoint as a dirty-page delta against the previous one. Full
-    /// dumps remain the default.
+    /// checkpoint as a diff against the group's previous one, interning
+    /// only the pages that changed. Full dumps remain the default.
     pub fn with_incremental(mut self) -> Self {
         self.incremental = true;
         self

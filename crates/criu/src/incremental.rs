@@ -95,52 +95,6 @@ impl DeltaImage {
     pub fn pages_bytes(&self) -> usize {
         self.procs.iter().map(|p| p.pages.bytes.len()).sum()
     }
-
-    /// Builds a delta by comparing two materialized checkpoints byte for
-    /// byte: a page is dirty if it is absent from `parent` or its
-    /// contents differ. Useful when the kernel-side dirty bitmap is not
-    /// available for the interval (e.g. diffing two stored images);
-    /// [`dump_incremental`] is the live-process path.
-    pub fn diff(parent_id: CkptId, parent: &CheckpointImage, current: &CheckpointImage) -> Self {
-        let page = PAGE_SIZE as usize;
-        let procs = current
-            .procs
-            .iter()
-            .map(|image| {
-                let parent_proc = parent.proc_image(image.core.pid);
-                let mut dirty = PagemapImage::default();
-                let mut pages = PagesImage::default();
-                for (index, &base) in image.pagemap.pages.iter().enumerate() {
-                    let bytes = &image.pages.bytes[index * page..(index + 1) * page];
-                    let same_in_parent = parent_proc.is_some_and(|p| {
-                        p.pagemap
-                            .pages
-                            .binary_search(&base)
-                            .is_ok_and(|i| &p.pages.bytes[i * page..(i + 1) * page] == bytes)
-                    });
-                    if !same_in_parent {
-                        dirty.pages.push(base);
-                        pages.bytes.extend_from_slice(bytes);
-                    }
-                }
-                DeltaProcessImage {
-                    core: image.core.clone(),
-                    mm: image.mm.clone(),
-                    pagemap: image.pagemap.clone(),
-                    dirty,
-                    pages,
-                    files: image.files.clone(),
-                    tcp: image.tcp.clone(),
-                    exec_pages_dumped: image.exec_pages_dumped,
-                }
-            })
-            .collect();
-        DeltaImage {
-            parent: parent_id,
-            procs,
-            time_ns: current.time_ns,
-        }
-    }
 }
 
 /// Applies one delta on top of a materialized parent checkpoint.
@@ -415,55 +369,43 @@ impl PreDump {
 /// the page bytes) plus one [`SharedPages`] reference set per process.
 /// The page payload itself lives, deduplicated, in the store's
 /// [`PageStore`].
+///
+/// Every entry is self-contained: it holds a reference on every page of
+/// its checkpoint, so it reads back without any other entry and
+/// survives the release of the parent it was diffed against.
 #[derive(Debug, Clone)]
-pub enum StoredCheckpoint {
-    /// A self-contained checkpoint.
-    Full {
-        /// The checkpoint with every process's `pages.bytes` emptied.
-        skeleton: CheckpointImage,
-        /// Interned page payload, one entry per process, in `procs` order.
-        pages: Vec<SharedPages>,
-    },
-    /// A delta referencing an earlier entry.
-    Delta {
-        /// The delta with every process's `pages.bytes` emptied.
-        skeleton: DeltaImage,
-        /// Interned dirty-page payload, one entry per process.
-        pages: Vec<SharedPages>,
-    },
+pub struct StoredCheckpoint {
+    /// The checkpoint with every process's `pages.bytes` emptied.
+    pub skeleton: CheckpointImage,
+    /// Interned page payload, one entry per process, in `procs` order.
+    pub pages: Vec<SharedPages>,
 }
 
 impl StoredCheckpoint {
     /// Logical page payload of this entry — what a store without content
-    /// addressing would hold for it (full payload for a full checkpoint,
-    /// the dirty payload for a delta).
+    /// addressing would hold for it.
     pub fn pages_bytes(&self) -> usize {
-        match self {
-            StoredCheckpoint::Full { pages, .. } | StoredCheckpoint::Delta { pages, .. } => {
-                pages.iter().map(SharedPages::pages_bytes).sum()
-            }
-        }
-    }
-
-    fn shared_pages(&self) -> &[SharedPages] {
-        match self {
-            StoredCheckpoint::Full { pages, .. } | StoredCheckpoint::Delta { pages, .. } => pages,
-        }
+        self.pages.iter().map(SharedPages::pages_bytes).sum()
     }
 }
 
-/// The tmpfs-like checkpoint store, extended to hold delta chains and
-/// backed by a content-addressed [`PageStore`]: every dump written into
-/// the store interns its page payload (N processes running the same
-/// binary share one copy of every identical page; repeated cycles dedup
-/// against prior checkpoints), and every materialization reads back
-/// through it bit-identically.
+/// The tmpfs-like checkpoint store, backed by a content-addressed
+/// [`PageStore`]: every checkpoint written into the store interns its
+/// page payload (N processes running the same binary share one copy of
+/// every identical page; repeated cycles dedup against prior
+/// checkpoints), and every materialization reads back through it
+/// bit-identically.
 ///
-/// Entries get sequential [`CkptId`]s; a delta's parent must already be
-/// stored (and not released), so chains always resolve backwards.
-/// [`release`] drops an entry and its page references; released ids —
-/// and chains through them — fail with [`CriuError::MissingParent`].
+/// Entries get sequential [`CkptId`]s. A delta ([`put_delta`]) or a
+/// checkpoint diffed against a stored parent ([`put_diff`]) is resolved
+/// when it is stored: its unchanged pages take references on the
+/// parent's keys, so every entry reads back on its own and no read walks
+/// a chain. A missing parent fails at put time. [`release`] drops an
+/// entry and its page references; released ids fail with
+/// [`CriuError::MissingParent`].
 ///
+/// [`put_delta`]: CheckpointStore::put_delta
+/// [`put_diff`]: CheckpointStore::put_diff
 /// [`release`]: CheckpointStore::release
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
@@ -483,14 +425,81 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Fails with [`CriuError::PageCollision`] if any page's content key
-    /// is already held by different bytes; references taken for earlier
-    /// processes are released again and nothing is stored.
-    pub fn put_full(&mut self, mut image: CheckpointImage) -> Result<CkptId, CriuError> {
+    /// is already held by different bytes; every reference taken is
+    /// released again and nothing is stored.
+    pub fn put_full(&mut self, image: CheckpointImage) -> Result<CkptId, CriuError> {
+        self.put(None, image).map(|(id, _)| id)
+    }
+
+    /// Stores `current` as a diff against the live entry `parent`: a
+    /// page whose bytes equal the parent's page at the same address
+    /// takes one more reference on the parent's key, with no hashing and
+    /// no copy; every other page is interned. Returns the new id and the
+    /// bytes interned — the payload of the pages that differ from the
+    /// parent.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CriuError::MissingParent`] if `parent` is absent or
+    /// released, or [`CriuError::PageCollision`] if a differing page's
+    /// key is already held by different bytes. Either way every
+    /// reference taken is released again and nothing is stored.
+    pub fn put_diff(
+        &mut self,
+        parent: CkptId,
+        current: CheckpointImage,
+    ) -> Result<(CkptId, usize), CriuError> {
+        self.entry(parent)?;
+        self.put(Some(parent), current)
+    }
+
+    /// Stores a delta: replays it onto its materialized parent and
+    /// stores the result with [`put_diff`](CheckpointStore::put_diff),
+    /// so the entry shares every unchanged page with the parent.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CriuError::MissingParent`] if the parent id is not
+    /// live in the store, propagates [`apply_delta`] failures, or fails
+    /// with [`CriuError::PageCollision`] if a dirty page's key is
+    /// already held by different bytes (nothing is stored).
+    pub fn put_delta(&mut self, delta: DeltaImage) -> Result<CkptId, CriuError> {
+        let current = apply_delta(&self.materialize(delta.parent)?, &delta)?;
+        self.put_diff(delta.parent, current).map(|(id, _)| id)
+    }
+
+    /// Interns `image`'s payload — reusing the keys of the live entry
+    /// `parent` wherever the bytes match — and appends the entry.
+    /// Returns its id and the bytes interned.
+    fn put(
+        &mut self,
+        parent: Option<CkptId>,
+        mut image: CheckpointImage,
+    ) -> Result<(CkptId, usize), CriuError> {
+        let parent = parent.and_then(|id| self.entries[id.0 as usize].as_ref());
         let mut pages = Vec::with_capacity(image.procs.len());
+        let mut interned = 0;
         for proc in &mut image.procs {
-            match SharedPages::intern(&mut self.pages, &proc.pages) {
-                Ok(shared) => {
-                    proc.pages.bytes.clear();
+            let parent_proc = parent.and_then(|entry| {
+                entry
+                    .skeleton
+                    .procs
+                    .iter()
+                    .zip(&entry.pages)
+                    .find(|(p, _)| p.core.pid == proc.core.pid)
+            });
+            let parent_key = |index: usize| {
+                let (skeleton, shared) = parent_proc?;
+                let at = skeleton
+                    .pagemap
+                    .pages
+                    .binary_search(proc.pagemap.pages.get(index)?)
+                    .ok()?;
+                shared.keys().get(at).copied()
+            };
+            match SharedPages::intern_against(&mut self.pages, &proc.pages, parent_key) {
+                Ok((shared, bytes)) => {
+                    interned += bytes;
                     pages.push(shared);
                 }
                 Err(err) => {
@@ -498,12 +507,13 @@ impl CheckpointStore {
                     return Err(err);
                 }
             }
+            proc.pages.bytes.clear();
         }
-        self.entries.push(Some(StoredCheckpoint::Full {
+        self.entries.push(Some(StoredCheckpoint {
             skeleton: image,
             pages,
         }));
-        Ok(CkptId(self.entries.len() as u64 - 1))
+        Ok((CkptId(self.entries.len() as u64 - 1), interned))
     }
 
     /// Releases references taken for a partially-interned checkpoint
@@ -515,38 +525,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Stores a delta, interning its dirty-page payload and validating
-    /// that its parent exists and has not been released.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`CriuError::MissingParent`] if the parent id is not
-    /// live in the store, or [`CriuError::PageCollision`] if a dirty
-    /// page's key is already held by different bytes (nothing is stored).
-    pub fn put_delta(&mut self, mut delta: DeltaImage) -> Result<CkptId, CriuError> {
-        if self.get(delta.parent).is_none() {
-            return Err(CriuError::MissingParent(delta.parent));
-        }
-        let mut pages = Vec::with_capacity(delta.procs.len());
-        for proc in &mut delta.procs {
-            match SharedPages::intern(&mut self.pages, &proc.pages) {
-                Ok(shared) => {
-                    proc.pages.bytes.clear();
-                    pages.push(shared);
-                }
-                Err(err) => {
-                    Self::unwind_interned(&mut self.pages, &pages);
-                    return Err(err);
-                }
-            }
-        }
-        self.entries.push(Some(StoredCheckpoint::Delta {
-            skeleton: delta,
-            pages,
-        }));
-        Ok(CkptId(self.entries.len() as u64 - 1))
-    }
-
     /// Looks up a live entry. The entry is a skeleton — page payloads
     /// live in the [`PageStore`]; use [`materialize`] to rehydrate.
     ///
@@ -555,11 +533,17 @@ impl CheckpointStore {
         self.entries.get(id.0 as usize).and_then(Option::as_ref)
     }
 
+    /// Live entry `id`, or [`CriuError::MissingParent`].
+    fn entry(&self, id: CkptId) -> Result<&StoredCheckpoint, CriuError> {
+        self.get(id).ok_or(CriuError::MissingParent(id))
+    }
+
     /// Releases a checkpoint: drops its entry and one page-store
-    /// reference per page it interned; bytes no other checkpoint shares
-    /// are freed. Ids are never reused, so later [`materialize`] or
-    /// [`CheckpointStore::put_delta`] calls naming this id (or chaining through it) fail
-    /// with [`CriuError::MissingParent`].
+    /// reference per page it holds; bytes no other checkpoint shares
+    /// are freed. Entries stored against this one stay intact. Ids are
+    /// never reused, so later [`materialize`] or
+    /// [`CheckpointStore::put_diff`] calls naming this id fail with
+    /// [`CriuError::MissingParent`].
     ///
     /// [`materialize`]: CheckpointStore::materialize
     ///
@@ -576,7 +560,7 @@ impl CheckpointStore {
             .ok_or(CriuError::MissingParent(id))?;
         let entry = slot.take().ok_or(CriuError::MissingParent(id))?;
         let mut first_miss = None;
-        for shared in entry.shared_pages() {
+        for shared in &entry.pages {
             if let Err(err) = shared.release(&mut self.pages) {
                 first_miss.get_or_insert(err);
             }
@@ -598,9 +582,8 @@ impl CheckpointStore {
     }
 
     /// Total **logical** page payload across live entries — what a store
-    /// without delta chains *and* without content addressing would hold,
-    /// the sum a full-dump-only policy would inflate. The physically
-    /// held bytes are [`unique_pages_bytes`].
+    /// without content addressing would hold. The physically held bytes
+    /// are [`unique_pages_bytes`].
     ///
     /// [`unique_pages_bytes`]: CheckpointStore::unique_pages_bytes
     pub fn stored_pages_bytes(&self) -> usize {
@@ -646,93 +629,25 @@ impl CheckpointStore {
         self.pages.dedup_ratio()
     }
 
-    /// Rehydrates one live entry's page payload from the page store.
-    fn rehydrate(&self, entry: &StoredCheckpoint) -> Result<RehydratedCheckpoint, CriuError> {
-        match entry {
-            StoredCheckpoint::Full { skeleton, pages } => {
-                let mut image = skeleton.clone();
-                for (proc, shared) in image.procs.iter_mut().zip(pages) {
-                    proc.pages = shared.materialize(&self.pages)?;
-                }
-                Ok(RehydratedCheckpoint::Full(image))
-            }
-            StoredCheckpoint::Delta { skeleton, pages } => {
-                let mut delta = skeleton.clone();
-                for (proc, shared) in delta.procs.iter_mut().zip(pages) {
-                    proc.pages = shared.materialize(&self.pages)?;
-                }
-                Ok(RehydratedCheckpoint::Delta(delta))
-            }
-        }
-    }
-
-    /// Materializes the checkpoint `id` by walking its delta chain back
-    /// to the nearest full checkpoint, rehydrating every page payload
-    /// from the content-addressed store, and replaying the deltas in
-    /// order. Bit-identical to the images originally written in.
+    /// Materializes the checkpoint `id`, rehydrating every page payload
+    /// from the content-addressed store. Bit-identical to the image
+    /// originally written in (for a delta, to the image it resolved to).
     ///
     /// # Errors
     ///
-    /// Fails with [`CriuError::MissingParent`] if `id` or any ancestor is
-    /// absent or released, or propagates [`apply_delta`] failures.
+    /// Fails with [`CriuError::MissingParent`] if `id` is absent or
+    /// released.
     pub fn materialize(&self, id: CkptId) -> Result<CheckpointImage, CriuError> {
-        let mut chain: Vec<DeltaImage> = Vec::new();
-        let mut cursor = id;
-        let base = loop {
-            match self.get(cursor) {
-                None => return Err(CriuError::MissingParent(cursor)),
-                Some(entry) => match self.rehydrate(entry)? {
-                    RehydratedCheckpoint::Full(image) => break image,
-                    RehydratedCheckpoint::Delta(delta) => {
-                        cursor = delta.parent;
-                        chain.push(delta);
-                    }
-                },
-            }
-        };
-        materialize_chain(&base, chain.iter().rev())
+        let entry = self.entry(id)?;
+        let mut image = entry.skeleton.clone();
+        for (proc, shared) in image.procs.iter_mut().zip(&entry.pages) {
+            proc.pages = shared.materialize(&self.pages)?;
+        }
+        Ok(image)
     }
 
-    /// Dumps frozen processes straight **through** the store: a full
-    /// [`dump_many`] whose page payload is interned on the way in.
-    /// Returns the new entry's id.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`dump_many`] failures.
-    pub fn dump_full(
-        &mut self,
-        kernel: &mut Kernel,
-        pids: &[Pid],
-        options: &DumpOptions,
-    ) -> Result<CkptId, CriuError> {
-        let image = dump_many(kernel, pids, options)?;
-        self.put_full(image)
-    }
-
-    /// Dumps frozen processes as a delta against a stored parent,
-    /// reading the parent back through the page store and interning the
-    /// dirty payload on the way in. Returns the new entry's id.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`CriuError::MissingParent`] if the parent is absent
-    /// or released; propagates [`dump_incremental`] failures.
-    pub fn dump_delta(
-        &mut self,
-        kernel: &mut Kernel,
-        pids: &[Pid],
-        options: &DumpOptions,
-        parent_id: CkptId,
-    ) -> Result<CkptId, CriuError> {
-        let parent = self.materialize(parent_id)?;
-        let delta = dump_incremental(kernel, pids, options, parent_id, &parent)?;
-        self.put_delta(delta)
-    }
-
-    /// Restores the checkpoint `id` **through** the store: the delta
-    /// chain and every page payload are read back from the
-    /// content-addressed store and the processes are rebuilt with
+    /// Restores the checkpoint `id` **through** the store: every page
+    /// payload is read back from the content-addressed store and the processes are rebuilt with
     /// [`restore_many`] — bit-identical to restoring the original dump.
     ///
     /// # Errors
@@ -752,9 +667,7 @@ impl CheckpointStore {
     }
 
     /// Restores the checkpoint `id` **zero-copy**: instead of
-    /// materializing the page payload, the delta chain is resolved at
-    /// the *key* level (newest delta wins per page) and every restored
-    /// page is backed by a [`SharedFrame`](dynacut_vm::SharedFrame)
+    /// materializing the page payload, every restored page is backed by a [`SharedFrame`](dynacut_vm::SharedFrame)
     /// handle straight out of the content-addressed store. No page byte
     /// is copied by the restore itself ([`PageStore::copied_bytes`] does
     /// not move); the first guest write to each page copy-on-writes it
@@ -768,10 +681,9 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Fails with [`CriuError::MissingParent`] if `id` or any ancestor
-    /// is absent or released, [`CriuError::BadImage`] /
-    /// [`CriuError::Inconsistent`] on a malformed chain, or propagates
-    /// build/commit failures (kernel untouched or rolled back).
+    /// Fails with [`CriuError::MissingParent`] if `id` is absent or
+    /// released, or propagates build/commit failures (kernel untouched
+    /// or rolled back).
     pub fn restore_shared(
         &self,
         kernel: &mut Kernel,
@@ -780,7 +692,7 @@ impl CheckpointStore {
     ) -> Result<Vec<Pid>, CriuError> {
         let resolved = self.resolve_shared(id)?;
         let mut staged: Vec<StagedProcess> = Vec::with_capacity(resolved.len());
-        for (image, keys) in &resolved {
+        for &(image, keys) in &resolved {
             if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::RestoreHandles) {
                 return Err(CriuError::FaultInjected(
                     dynacut_vm::fault::FaultPhase::RestoreHandles,
@@ -821,9 +733,10 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Fails with [`CriuError::Inconsistent`] on a group-size mismatch,
+    /// Fails with [`CriuError::MissingParent`] if `id` is not live,
+    /// [`CriuError::Inconsistent`] on a group-size mismatch,
     /// [`CriuError::Vm`] if a target is missing or not frozen, or
-    /// propagates chain-resolution/build/commit failures; the kernel is
+    /// propagates build/commit failures; the kernel is
     /// untouched or rolled back on every error path.
     pub fn promote_shared(
         &self,
@@ -841,7 +754,7 @@ impl CheckpointStore {
             )));
         }
         let mut staged: Vec<StagedProcess> = Vec::with_capacity(targets.len());
-        for ((image, keys), &pid) in resolved.iter().zip(targets) {
+        for (&(image, keys), &pid) in resolved.iter().zip(targets) {
             if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::PromoteRestore) {
                 return Err(CriuError::FaultInjected(
                     dynacut_vm::fault::FaultPhase::PromoteRestore,
@@ -915,127 +828,14 @@ impl CheckpointStore {
     }
 
     /// Resolves checkpoint `id` to per-process skeletons plus one page
-    /// key per pagemap entry, walking the delta chain with newest-wins
-    /// semantics — the key-level analogue of [`materialize`], with no
-    /// page bytes touched.
-    ///
-    /// [`materialize`]: CheckpointStore::materialize
-    fn resolve_shared(&self, id: CkptId) -> Result<Vec<(ProcessImage, Vec<PageKey>)>, CriuError> {
-        // Collect the chain newest-first, stopping at the full base.
-        let mut chain: Vec<&StoredCheckpoint> = Vec::new();
-        let mut cursor = id;
-        loop {
-            let entry = self.get(cursor).ok_or(CriuError::MissingParent(cursor))?;
-            chain.push(entry);
-            match entry {
-                StoredCheckpoint::Full { .. } => break,
-                StoredCheckpoint::Delta { skeleton, .. } => cursor = skeleton.parent,
-            }
-        }
-
-        // Replay oldest-first, carrying a per-pid map of page base → key.
-        let mut keymaps: BTreeMap<Pid, BTreeMap<u64, PageKey>> = BTreeMap::new();
-        let mut skeletons: Vec<(Pid, ProcessImage)> = Vec::new();
-        for entry in chain.iter().rev() {
-            match entry {
-                StoredCheckpoint::Full { skeleton, pages } => {
-                    keymaps.clear();
-                    skeletons.clear();
-                    for (proc, shared) in skeleton.procs.iter().zip(pages) {
-                        if shared.page_count() != proc.pagemap.pages.len() {
-                            return Err(CriuError::BadImage(format!(
-                                "stored checkpoint holds {} page refs but pagemap lists {} pages",
-                                shared.page_count(),
-                                proc.pagemap.pages.len()
-                            )));
-                        }
-                        let map = proc
-                            .pagemap
-                            .pages
-                            .iter()
-                            .copied()
-                            .zip(shared.keys().iter().copied())
-                            .collect();
-                        keymaps.insert(proc.core.pid, map);
-                        skeletons.push((proc.core.pid, proc.clone()));
-                    }
-                }
-                StoredCheckpoint::Delta { skeleton, pages } => {
-                    let mut next_maps: BTreeMap<Pid, BTreeMap<u64, PageKey>> = BTreeMap::new();
-                    let mut next_skeletons: Vec<(Pid, ProcessImage)> = Vec::new();
-                    for (d, shared) in skeleton.procs.iter().zip(pages) {
-                        if shared.page_count() != d.dirty.pages.len() {
-                            return Err(CriuError::BadImage(format!(
-                                "stored delta holds {} page refs but {} dirty pages are listed",
-                                shared.page_count(),
-                                d.dirty.pages.len()
-                            )));
-                        }
-                        let dirty: BTreeMap<u64, PageKey> = d
-                            .dirty
-                            .pages
-                            .iter()
-                            .copied()
-                            .zip(shared.keys().iter().copied())
-                            .collect();
-                        let parent_map = keymaps.get(&d.core.pid);
-                        let mut map = BTreeMap::new();
-                        for &base in &d.pagemap.pages {
-                            let key = match dirty.get(&base) {
-                                Some(&key) => key,
-                                None => *parent_map.and_then(|m| m.get(&base)).ok_or_else(|| {
-                                    CriuError::Inconsistent(format!(
-                                        "clean page {base:#x} is missing from the parent checkpoint"
-                                    ))
-                                })?,
-                            };
-                            map.insert(base, key);
-                        }
-                        next_maps.insert(d.core.pid, map);
-                        next_skeletons.push((
-                            d.core.pid,
-                            ProcessImage {
-                                core: d.core.clone(),
-                                mm: d.mm.clone(),
-                                pagemap: d.pagemap.clone(),
-                                pages: PagesImage::default(),
-                                files: d.files.clone(),
-                                tcp: d.tcp.clone(),
-                                exec_pages_dumped: d.exec_pages_dumped,
-                            },
-                        ));
-                    }
-                    // Processes absent from the delta exited before it.
-                    keymaps = next_maps;
-                    skeletons = next_skeletons;
-                }
-            }
-        }
-
-        skeletons
-            .into_iter()
-            .map(|(pid, image)| {
-                let map = keymaps
-                    .get(&pid)
-                    .ok_or_else(|| CriuError::Inconsistent(format!("no key map for pid {}", pid.0)))?;
-                let keys = image
-                    .pagemap
-                    .pages
-                    .iter()
-                    .map(|base| {
-                        map.get(base).copied().ok_or_else(|| {
-                            CriuError::Inconsistent(format!("no key for page {base:#x}"))
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok((image, keys))
-            })
-            .collect()
+    /// key per pagemap entry, with no page bytes touched.
+    fn resolve_shared(&self, id: CkptId) -> Result<Vec<(&ProcessImage, &[PageKey])>, CriuError> {
+        let entry = self.entry(id)?;
+        Ok(entry
+            .skeleton
+            .procs
+            .iter()
+            .zip(entry.pages.iter().map(SharedPages::keys))
+            .collect())
     }
-}
-
-/// A store entry with its page payload read back out of the page store.
-enum RehydratedCheckpoint {
-    Full(CheckpointImage),
-    Delta(DeltaImage),
 }

@@ -28,7 +28,8 @@
 //!   [`CheckpointStore`]) — dirty-page deltas and the two-phase pre-dump
 //!   protocol that shrink the rewrite freeze window; a delta chain
 //!   materializes bit-identically to the full dump taken at the same
-//!   instant, and
+//!   instant, and the store resolves a delta against its parent when it
+//!   is stored, and
 //! * a textual decoder ([`ProcessImage::decode_text`]) mirroring
 //!   `crit decode`.
 

@@ -160,6 +160,20 @@ impl PageStore {
         self.pages.get(&key).map_or(0, |entry| entry.refs)
     }
 
+    /// Takes one more reference on a page already held — the path for a
+    /// page known to equal a stored one, with no hashing and no copy.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CriuError::UnknownPage`] when the key is not held.
+    pub(crate) fn retain(&mut self, key: PageKey) -> Result<(), CriuError> {
+        self.pages
+            .get_mut(&key)
+            .ok_or(CriuError::UnknownPage(key))?
+            .refs += 1;
+        Ok(())
+    }
+
     /// Drops one reference; the bytes are freed when the last one goes.
     ///
     /// # Errors
@@ -241,9 +255,35 @@ impl SharedPages {
     /// by different bytes; references taken for earlier pages are
     /// released again, leaving the store exactly as it was.
     pub fn intern(store: &mut PageStore, pages: &PagesImage) -> Result<Self, CriuError> {
+        Self::intern_against(store, pages, |_| None).map(|(shared, _)| shared)
+    }
+
+    /// [`intern`](SharedPages::intern), except that a page whose bytes
+    /// equal those held under `parent_key(index)` (the key its parent
+    /// checkpoint stored at the same address) takes one more reference
+    /// on that key — no hashing, no copy. Returns the shared pages and
+    /// the bytes interned, i.e. the pages that matched no parent key.
+    ///
+    /// # Errors
+    ///
+    /// As [`intern`](SharedPages::intern); references taken for earlier
+    /// pages are released again.
+    pub(crate) fn intern_against(
+        store: &mut PageStore,
+        pages: &PagesImage,
+        parent_key: impl Fn(usize) -> Option<PageKey>,
+    ) -> Result<(Self, usize), CriuError> {
         let mut keys = Vec::with_capacity(pages.bytes.len() / PAGE_SIZE as usize);
-        for page in pages.bytes.chunks(PAGE_SIZE as usize) {
-            match store.intern(page) {
+        let mut interned = 0;
+        for (index, page) in pages.bytes.chunks(PAGE_SIZE as usize).enumerate() {
+            let taken = match parent_key(index).filter(|&key| store.get(key) == Some(page)) {
+                Some(key) => store.retain(key).map(|()| key),
+                None => {
+                    interned += page.len();
+                    store.intern(page)
+                }
+            };
+            match taken {
                 Ok(key) => keys.push(key),
                 Err(err) => {
                     for &taken in keys.iter().rev() {
@@ -256,7 +296,7 @@ impl SharedPages {
                 }
             }
         }
-        Ok(SharedPages { keys })
+        Ok((SharedPages { keys }, interned))
     }
 
     /// Rebuilds the original [`PagesImage`], byte for byte.
@@ -447,6 +487,38 @@ mod tests {
         assert!(matches!(err, CriuError::PageCollision(_)));
         assert_eq!(store.unique_pages(), 0, "partial refs were unwound");
         assert_eq!(store.logical_bytes(), 0);
+    }
+
+    /// A page matching its parent key takes a reference without a copy;
+    /// a collision later in the payload gives that reference back too.
+    #[test]
+    fn intern_against_retains_parent_keys_and_unwinds_on_collision() {
+        let mut store = PageStore::new();
+        store.hasher = Some(|bytes| PageKey(u128::from(bytes[0] & 0x0F)));
+        let parent = store.intern(&page(0x01)).unwrap();
+        let mut image = PagesImage::default();
+        image.bytes.extend_from_slice(&page(0x01));
+        image.bytes.extend_from_slice(&page(0x02));
+        let parent_key = |index: usize| (index == 0).then_some(parent);
+        let (shared, interned) =
+            SharedPages::intern_against(&mut store, &image, parent_key).unwrap();
+        assert_eq!(
+            interned, PAGE_SIZE as usize,
+            "only the second page was interned"
+        );
+        assert_eq!(store.refs(parent), 2);
+        assert_eq!(store.copied_bytes(), 2 * PAGE_SIZE);
+        shared.release(&mut store).unwrap();
+
+        image.bytes.extend_from_slice(&page(0x12)); // collides with 0x02
+        let err = SharedPages::intern_against(&mut store, &image, parent_key).unwrap_err();
+        assert!(matches!(err, CriuError::PageCollision(_)));
+        assert_eq!(
+            store.refs(parent),
+            1,
+            "the retained reference was given back"
+        );
+        assert_eq!(store.logical_bytes(), PAGE_SIZE as usize);
     }
 
     /// Regression (PR 7): releasing an unknown key used to be a silent

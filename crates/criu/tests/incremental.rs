@@ -364,7 +364,144 @@ fn store_materializes_a_chain_of_deltas() {
     assert_eq!(materialized, full);
     assert_eq!(materialized.to_bytes(), full.to_bytes());
 
-    // The store holds one full image plus two small deltas.
+    // Every entry references all of its pages, but the store physically
+    // holds one full image plus the two pages the rounds rewrote.
     assert_eq!(store.len(), 3);
-    assert!(store.stored_pages_bytes() < 2 * full.pages_bytes());
+    assert!(store.unique_pages_bytes() <= full.pages_bytes() + 2 * PAGE_SIZE as usize);
+}
+
+/// Dirties two BSS pages of the frozen process and returns the delta
+/// against `parent` plus the full dump taken at the same instant.
+fn dirty_two_pages(
+    setup: &mut Setup,
+    parent_id: CkptId,
+    parent: &CheckpointImage,
+) -> (DeltaImage, CheckpointImage) {
+    for (index, fill) in [(0, 0x5A), (2, 0xA5)] {
+        let page = writable_page(setup, index);
+        setup
+            .kernel
+            .process_mut(setup.pid)
+            .unwrap()
+            .mem
+            .write_unchecked(page, &[fill; 64]);
+    }
+    let delta = dump_incremental(
+        &mut setup.kernel,
+        &[setup.pid],
+        &DumpOptions::default(),
+        parent_id,
+        parent,
+    )
+    .unwrap();
+    let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    (delta, full)
+}
+
+/// A stored delta is resolved when it is stored: releasing its parent
+/// leaves it materializing bit-identically to the full dump, and its
+/// zero-copy restore matches the byte replay of the chain — for
+/// `put_delta` and `put_diff` alike.
+#[test]
+fn stored_delta_survives_release_of_its_parent() {
+    for use_diff in [false, true] {
+        let mut setup = boot();
+        setup.kernel.freeze(setup.pid).unwrap();
+        let parent = baseline(&mut setup);
+        let mut store = CheckpointStore::new();
+        let parent_id = store.put_full(parent.clone()).unwrap();
+        let (delta, full) = dirty_two_pages(&mut setup, parent_id, &parent);
+        let id = if use_diff {
+            store.put_diff(parent_id, full.clone()).unwrap().0
+        } else {
+            store.put_delta(delta.clone()).unwrap()
+        };
+
+        store.release(parent_id).unwrap();
+        assert!(store.get(parent_id).is_none());
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.logical_pages_bytes(), store.stored_pages_bytes());
+        let materialized = store.materialize(id).unwrap();
+        assert_eq!(materialized, full, "use_diff = {use_diff}");
+        assert_eq!(materialized.to_bytes(), full.to_bytes());
+
+        // Oracle: the byte replay of the chain, independent of the store.
+        setup.kernel.remove_process(setup.pid).unwrap();
+        restore_chain(&mut setup.kernel, &parent, [&delta], &setup.registry).unwrap();
+        let replayed = setup.kernel.state_fingerprint();
+        setup.kernel.remove_process(setup.pid).unwrap();
+        store
+            .restore_shared(&mut setup.kernel, id, &setup.registry)
+            .unwrap();
+        assert_eq!(
+            setup.kernel.state_fingerprint(),
+            replayed,
+            "use_diff = {use_diff}"
+        );
+    }
+}
+
+/// `put_diff` against a released parent fails before touching the page
+/// store: every refcount, and the copy counter, stay as they were.
+#[test]
+fn put_diff_against_a_released_parent_changes_no_refcount() {
+    let mut setup = boot();
+    setup.kernel.freeze(setup.pid).unwrap();
+    let parent = baseline(&mut setup);
+    let mut store = CheckpointStore::new();
+    let parent_id = store.put_full(parent.clone()).unwrap();
+    let (_, current) = dirty_two_pages(&mut setup, parent_id, &parent);
+    let survivor = store.put_full(current.clone()).unwrap();
+    store.release(parent_id).unwrap();
+
+    let keys: Vec<_> = store
+        .get(survivor)
+        .unwrap()
+        .pages
+        .iter()
+        .flat_map(|shared| shared.keys().to_vec())
+        .collect();
+    let pages = store.page_store();
+    let refs_before: Vec<u64> = keys.iter().map(|&key| pages.refs(key)).collect();
+    let (logical, unique, copied) = (
+        pages.logical_bytes(),
+        pages.unique_pages(),
+        pages.copied_bytes(),
+    );
+
+    match store.put_diff(parent_id, current) {
+        Err(CriuError::MissingParent(id)) => assert_eq!(id, parent_id),
+        other => panic!("expected MissingParent, got {other:?}"),
+    }
+    let pages = store.page_store();
+    let refs_after: Vec<u64> = keys.iter().map(|&key| pages.refs(key)).collect();
+    assert_eq!(refs_after, refs_before);
+    assert_eq!(pages.logical_bytes(), logical);
+    assert_eq!(pages.unique_pages(), unique);
+    assert_eq!(pages.copied_bytes(), copied);
+    assert_eq!(store.len(), 1);
+}
+
+/// `put_diff` interns exactly the pages that differ from the parent:
+/// two written pages report two pages' bytes, and every other page
+/// shares the parent's key.
+#[test]
+fn put_diff_reports_exactly_the_differing_pages() {
+    let mut setup = boot();
+    setup.kernel.freeze(setup.pid).unwrap();
+    let parent = baseline(&mut setup);
+    let mut store = CheckpointStore::new();
+    let parent_id = store.put_full(parent.clone()).unwrap();
+    let (_, current) = dirty_two_pages(&mut setup, parent_id, &parent);
+    let copied_before = store.page_store().copied_bytes();
+
+    let (id, interned) = store.put_diff(parent_id, current.clone()).unwrap();
+    assert_eq!(interned, 2 * PAGE_SIZE as usize);
+    assert_eq!(
+        store.page_store().copied_bytes() - copied_before,
+        2 * PAGE_SIZE,
+        "only the two written pages were copied"
+    );
+    assert_eq!(store.get(id).unwrap().pages_bytes(), current.pages_bytes());
+    assert_eq!(store.materialize(id).unwrap(), current);
 }

@@ -269,7 +269,8 @@ fn nginx_master_and_worker_checkpoint_incrementally() {
 
 // ---------------------------------------------------------------------
 // Session flow: DynaCut::with_incremental pre-dumps outside the freeze
-// window and stores disable/enable cycles as a delta chain.
+// window and stores each disable/enable cycle as a diff against the
+// previous one.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -304,8 +305,8 @@ fn session_incremental_cycles_store_deltas_and_shrink_the_freeze() {
     // Traffic between cycles dirties a few pages.
     assert_eq!(request(&mut world.kernel, b"GET /x\n"), nginx::RESP_200);
 
-    // Cycle two: block DELETE as well → stored as a delta, far smaller
-    // than the full image.
+    // Cycle two: block DELETE as well → stored as a diff against cycle
+    // one, interning far fewer bytes than the full image.
     let delete = Feature::from_function("DELETE", &world.exe, "ngx_delete_handler")
         .unwrap()
         .redirect_to_function(&world.exe, nginx::ERROR_HANDLER)
@@ -324,8 +325,11 @@ fn session_incremental_cycles_store_deltas_and_shrink_the_freeze() {
         "delta ({delta_bytes}) not smaller than full ({full_bytes})"
     );
 
-    // The chain materializes and both rewrites are live.
-    assert_eq!(dynacut.store().len(), 2);
+    // The second checkpoint was resolved against the first when it was
+    // stored, so committing the cycle released the displaced first one:
+    // the store keeps one entry per group. Both rewrites are live.
+    assert_eq!(dynacut.store().len(), 1);
+    assert!(dynacut.store().get(CkptId(0)).is_none());
     dynacut.store().materialize(CkptId(1)).unwrap();
     assert_eq!(request(&mut world.kernel, b"PUT /x data"), nginx::RESP_403);
     assert_eq!(request(&mut world.kernel, b"DELETE /x"), nginx::RESP_403);
